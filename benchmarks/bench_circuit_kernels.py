@@ -10,6 +10,11 @@ replaces the interpreted per-gate loop:
 - **adjoint reverse sweep** — one batched vector-Jacobian product through
   the paper-scale VQC (4 qubits, 16 features, 50 weights), with shared and
   per-sample weights;
+- **adjoint row sweep** — the per-row adjoint against the grouped
+  (operator-space) adjoint at 64 / 200 / 800 / 3200 rows on the
+  paper-scale actor circuit (4 qubits, 4 features, 50 weights) with 4
+  weight groups, one per agent.  The suffix unitaries are cached before
+  timing, as in training, where the update forward builds them;
 - **end-to-end training** — quantum-framework ``train_epoch`` env steps/s
   with the program tier off (the PR 1/2 suffix-compiled baseline) and on;
 - **seam overhead** (numpy only) — the compiled kernels, which now dispatch
@@ -36,6 +41,7 @@ or standalone for a summary table plus the machine-readable
 import argparse
 import os
 import resource
+import subprocess
 import sys
 import time
 
@@ -48,7 +54,7 @@ from repro.marl.frameworks import build_framework
 from repro.quantum import backend as qback
 from repro.quantum.backends import StatevectorBackend
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
-from repro.quantum.gradients import adjoint_backward
+from repro.quantum.gradients import adjoint_backward, grouped_adjoint_backward
 from repro.quantum.program import _resolve, compile_program, using_program
 from repro.quantum.vqc import build_vqc
 
@@ -59,6 +65,8 @@ GATE_BATCH = 256
 GATE_QUBITS = 6
 GATE_OPS = 60
 ADJOINT_BATCH = 128
+ROW_SWEEP = (64, 200, 800, 3200)
+ROW_GROUPS = 4
 EPISODE_LIMIT = 25
 EPISODES_PER_EPOCH = 8
 ROLLOUT_ENVS = 8
@@ -175,6 +183,50 @@ def _adjoint_rates(repeats):
             "speedup": times["interpreted"] / times["program"],
         }
     return results
+
+
+def _adjoint_row_sweep(repeats):
+    """Per-row vs grouped adjoint over the batch rows of 4 weight groups."""
+    rng = np.random.default_rng(SEED)
+    vqc = build_vqc(4, 4, 50, seed=3)
+    weights = np.stack([vqc.initial_weights(rng) for _ in range(ROW_GROUPS)])
+    results = {}
+    for batch in ROW_SWEEP:
+        inputs = rng.uniform(size=(batch, 4))
+        upstream = rng.normal(size=(batch, 4))
+        rows = np.arange(batch) % ROW_GROUPS
+        t_row = _measure(
+            lambda: adjoint_backward(
+                vqc.circuit, vqc.observables, inputs, weights[rows], upstream
+            ),
+            repeats,
+        )
+        t_grouped = _measure(
+            lambda: grouped_adjoint_backward(
+                vqc.circuit, vqc.observables, inputs, weights, upstream, rows
+            ),
+            repeats,
+        )
+        results[str(batch)] = {
+            "rows": batch,
+            "groups": ROW_GROUPS,
+            "per_row_ms": t_row * 1e3,
+            "grouped_ms": t_grouped * 1e3,
+            "speedup": t_row / t_grouped,
+        }
+    return results
+
+
+def _git_sha():
+    """HEAD of the checkout this file is in, or ``None`` outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)), check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip() or None
 
 
 def _legacy_generator(plan, psi):
@@ -578,6 +630,14 @@ def main():
             f"{row['program_sweeps_per_s']:>16.1f}  {row['speedup']:>7.2f}x"
         )
 
+    row_sweep = _adjoint_row_sweep(repeats)
+    print(f"\n{'adjoint rows':>12}  {'per-row ms':>15}  {'grouped ms':>16}  {'speedup':>8}")
+    for row in row_sweep.values():
+        print(
+            f"{row['rows']:>12}  {row['per_row_ms']:>15.2f}  "
+            f"{row['grouped_ms']:>16.2f}  {row['speedup']:>7.2f}x"
+        )
+
     train = _train_epoch_rates(n_epochs)
     print(
         f"\ntrain_epoch: {train['suffix_compiled_steps_per_s']:.1f} -> "
@@ -606,10 +666,12 @@ def main():
         {
             "benchmark": "circuit_kernels",
             "cpu_count": os.cpu_count(),
+            "git_sha": _git_sha(),
             "smoke": bool(args.smoke),
             "array_backend": backend_name,
             "gate_classes": gate_classes,
             "adjoint": adjoint,
+            "adjoint_row_sweep": row_sweep,
             "train_epoch": train,
             "seam_overhead": seam,
         },

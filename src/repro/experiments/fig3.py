@@ -5,8 +5,8 @@ queue (b), queue-empty ratio (c) and queue-overflow ratio (d) as a function
 of training epoch — for Proposed, Comp1, Comp2 and Comp3, plus the
 random-walk reference used for achievability normalisation.
 
-Scaled presets keep benchmark runtime sane; the ``full`` preset mirrors the
-paper's 1000-epoch runs.
+Scaled presets keep benchmark runtime sane.  The largest, ``full``, trains
+400 epochs of 50 steps; the paper trains for 1000 epochs.
 """
 
 from __future__ import annotations

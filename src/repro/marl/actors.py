@@ -24,6 +24,7 @@ from repro.nn.layers import Module, mlp
 from repro.nn.quantum_layer import QuantumLayer
 from repro.nn.tensor import Tensor, as_tensor
 from repro.quantum.backends import StatevectorBackend
+from repro.quantum.compile import compiled_circuit
 from repro.quantum.gradients import backward as _qbackward
 
 __all__ = [
@@ -431,8 +432,9 @@ class ActorGroup:
         array.  The base implementation runs one forward per agent and stacks
         the results (gradients still flow into every actor);
         :class:`QuantumActorGroup` overrides it with a *single* batched
-        circuit evaluation over all ``B * n_agents`` rows using per-sample
-        weights — the update-path counterpart of :meth:`batch_probabilities`.
+        circuit evaluation over all ``B * n_agents`` rows, the agents' weight
+        rows cycled over the batch — the update-path counterpart of
+        :meth:`batch_probabilities`.
         """
         observations = np.asarray(observations, dtype=np.float64)
         return F.stack(
@@ -500,12 +502,9 @@ class QuantumActorGroup(ActorGroup):
         )
         self._compiled = None
         if compile_rollouts and self._fast_backend is not None:
-            from repro.quantum.compile import CompiledCircuit
-
-            self._compiled = CompiledCircuit(
+            self._compiled = compiled_circuit(
                 self._circuit,
-                self._observables,
-                array_backend=getattr(self._fast_backend, "array_backend", None),
+                getattr(self._fast_backend, "array_backend", None),
             )
 
     def team_probabilities(self, observations):
@@ -553,7 +552,7 @@ class QuantumActorGroup(ActorGroup):
             # Untiled weights: the compiled path cycles the n_agents weight
             # rows over the batch, caching only the distinct suffix
             # unitaries (key independent of n_envs).
-            outputs = self._compiled.run(flat_obs, weights)
+            outputs = self._compiled.run(flat_obs, weights, self._observables)
         else:
             outputs = self._fast_backend.run(
                 self._circuit, self._observables, flat_obs,
@@ -582,7 +581,7 @@ class QuantumActorGroup(ActorGroup):
         weights = np.stack([a.layer.weights.data for a in self.actors])
         if self._compiled is not None:
             outputs = self._compiled.run_rows(
-                observations, weights, agent_indices
+                observations, weights, agent_indices, self._observables
             )
         else:
             outputs = self._fast_backend.run(
@@ -596,28 +595,34 @@ class QuantumActorGroup(ActorGroup):
     def _stacked_expectations(self, observations):
         """Differentiable ``(B * n_agents, n_obs)`` team expectations.
 
-        One batched circuit evaluation with per-sample weights (the agents'
-        weight rows cycled over the batch) whose backward pass runs one
-        adjoint sweep for the whole team and routes each agent's slice of
-        the per-sample weight gradient back into that agent's own
-        ``Parameter``.
+        One batched circuit evaluation with the agents' weight rows cycled
+        over the batch (the rollout's compiled path and cached suffix
+        unitaries when compiled), whose backward pass is one grouped
+        adjoint: row ``b`` belongs to agent ``b % n_agents`` and each agent's
+        weight gradient goes into its own ``Parameter``.
         """
         b, n_agents = observations.shape[0], observations.shape[1]
         flat_obs = observations.reshape(b * n_agents, -1)
         weight_params = [actor.layer.weights for actor in self.actors]
-        tiled = np.tile(np.stack([w.data for w in weight_params]), (b, 1))
+        weights = np.stack([w.data for w in weight_params])
         backend = self._fast_backend
         circuit, observables = self._circuit, self._observables
 
-        out_data = backend.run(circuit, observables, flat_obs, tiled)
+        if self._compiled is not None:
+            out_data = self._compiled.run(flat_obs, weights, observables)
+        else:
+            out_data = backend.run(
+                circuit, observables, flat_obs, np.tile(weights, (b, 1))
+            )
+        rows = np.tile(np.arange(n_agents), b)
 
         def backward_fn(grad):
             _, weight_grads = _qbackward(
-                circuit, observables, flat_obs, tiled, grad, method="adjoint"
+                circuit, observables, flat_obs, weights, grad,
+                method="adjoint", backend=backend, rows=rows,
             )
-            per_agent = weight_grads.reshape(b, n_agents, -1).sum(axis=0)
             for n, param in enumerate(weight_params):
-                param._accumulate(per_agent[n])
+                param._accumulate(weight_grads[n])
 
         return Tensor._from_op(out_data, tuple(weight_params), backward_fn)
 
@@ -625,9 +630,9 @@ class QuantumActorGroup(ActorGroup):
         """``(B, n_agents, A)`` log-policies from one circuit evaluation.
 
         Replaces the per-agent training forwards with a single batched call
-        (and a single adjoint reverse sweep on backward).  Falls back to the
+        (and a single grouped adjoint on backward).  Falls back to the
         per-agent path for inexact backends or non-adjoint gradient methods,
-        where per-sample-weight batching is not available.
+        where the stacked evaluation is not available.
         """
         observations = np.asarray(observations, dtype=np.float64)
         if self._fast_backend is None or any(

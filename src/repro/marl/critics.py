@@ -22,6 +22,7 @@ from repro.nn.layers import Linear, Module, mlp
 from repro.nn.quantum_layer import QuantumLayer
 from repro.nn.tensor import Tensor, as_tensor
 from repro.quantum.backends import StatevectorBackend
+from repro.quantum.compile import compiled_circuit
 from repro.quantum.gradients import backward as _qbackward
 
 __all__ = [
@@ -148,13 +149,12 @@ def paired_critic_values(critic, target, states, next_states):
     ``values`` is the online critic's differentiable ``(B,)`` tensor over
     ``states``; ``next_values`` the frozen target critic's numpy ``(B,)``
     over ``next_states``.  On a stackable quantum pair
-    (:func:`critic_pair_stackable`) both forwards run as **one** batched
-    circuit evaluation: the ``2B`` states interleave row-wise and the two
-    weight vectors ride the per-sample weight axis, halving the update's
-    forward circuit evaluations.  The backward pass is unchanged — one
-    adjoint sweep over the online half only (the target is frozen).  Any
-    other pair falls back to the plain two-pass path, bit-identically to
-    the pre-batched trainer.
+    (:func:`critic_pair_stackable`) both forwards run as **one** compiled
+    circuit evaluation: the ``2B`` states interleave row-wise over the two
+    cached suffix unitaries (online, target).  The backward pass is one
+    grouped adjoint over the online rows only (the target is frozen), which
+    reuses those unitaries.  Any other pair falls back to the plain
+    two-pass path, bit-identically to the pre-batched trainer.
     """
     if not critic_pair_stackable(critic, target):
         return critic(states), target.values(next_states)
@@ -175,11 +175,12 @@ def paired_critic_values(critic, target, states, next_states):
     stacked = np.empty((2 * batch, states.shape[1]))
     stacked[0::2] = states
     stacked[1::2] = next_states
-    weight_rows = np.tile(
-        np.stack([online_weights.data, target.layer.weights.data]),
-        (batch, 1),
+    # Group-major tiling: even rows run the online weights, odd the target.
+    pair = np.stack([online_weights.data, target.layer.weights.data])
+    compiled = compiled_circuit(
+        circuit, getattr(backend, "array_backend", None)
     )
-    outputs = backend.run(circuit, observables, stacked, weight_rows)
+    outputs = compiled.run(stacked, pair, observables)
     online_out, target_out = outputs[0::2], outputs[1::2]
     next_values = target_out.mean(axis=1) * target.value_scale
 
@@ -191,11 +192,12 @@ def paired_critic_values(critic, target, states, next_states):
             np.asarray(grad, dtype=np.float64)[:, None] * (scale / n_outputs),
             online_out.shape,
         )
+        # Every row is online (group 0); the target group has no rows.
         _, weight_grads = _qbackward(
-            circuit, observables, states, online_weights.data, upstream,
-            method="adjoint",
+            circuit, observables, states, pair, upstream, method="adjoint",
+            backend=backend, rows=np.zeros(batch, dtype=np.intp),
         )
-        online_weights._accumulate(weight_grads)
+        online_weights._accumulate(weight_grads[0])
 
     values = Tensor._from_op(
         online_out.mean(axis=1) * scale, (online_weights,), backward_fn

@@ -226,7 +226,9 @@ class PopulationActorGroup(ActorGroup):
         flat_obs = observations.reshape(n_rows * n_agents, -1)
         weights = self._member_row_weights(n_rows)
         if template._compiled is not None:
-            outputs = template._compiled.run(flat_obs, weights)
+            outputs = template._compiled.run(
+                flat_obs, weights, template._observables
+            )
         else:
             # The uncompiled backend wants one weight row per batch row;
             # tile a one-period matrix out to the full batch.

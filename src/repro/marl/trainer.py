@@ -231,6 +231,11 @@ class CTDETrainer:
         diagnostics: the pre-clip gradient norms of critic and actor team
         and the mean policy entropy.  All are pure functions of the batch,
         so they are bit-identical across collection engines.
+
+        Both steps wait until both gradients are in.  A non-finite loss or
+        pre-clip gradient norm (``clip_grad_norm`` cannot clip a NaN norm)
+        dumps a ``nonfinite_update`` postmortem and raises
+        :class:`FloatingPointError` with every weight untouched.
         """
         cfg = self.config
 
@@ -257,7 +262,6 @@ class CTDETrainer:
                 )
             else:
                 critic_grad_norm = gradient_norm(self.critic.parameters())
-            self.critic_optimizer.step()
 
         actor_loss_value = 0.0
         actor_grad_norm = 0.0
@@ -288,8 +292,25 @@ class CTDETrainer:
                     )
                 else:
                     actor_grad_norm = gradient_norm(self.actors.parameters())
-                self.actor_optimizer.step()
                 actor_loss_value = total_loss.item()
+
+        checks = {
+            "critic_loss": critic_loss.item(),
+            "critic_grad_norm": float(critic_grad_norm),
+            "actor_loss": actor_loss_value,
+            "actor_grad_norm": float(actor_grad_norm),
+        }
+        if not np.all(np.isfinite(list(checks.values()))):
+            obs.flight.dump(
+                "nonfinite_update", extra={"epoch": self.epoch, **checks}
+            )
+            raise FloatingPointError(
+                f"non-finite update at epoch {self.epoch}: {checks}; "
+                "weights left unchanged"
+            )
+        self.critic_optimizer.step()
+        if self.actor_optimizer is not None:
+            self.actor_optimizer.step()
 
         return {
             "critic_loss": critic_loss.item(),

@@ -16,6 +16,8 @@ against the uncompiled backend in the test suite.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro import obs
@@ -25,7 +27,7 @@ from repro.quantum import statevector as _sv
 from repro.quantum.backends import StatevectorBackend, _normalise_run_args
 from repro.quantum.program import weights_key as _weights_key
 
-__all__ = ["split_index", "CompiledCircuit"]
+__all__ = ["split_index", "CompiledCircuit", "compiled_circuit"]
 
 
 def split_index(circuit):
@@ -139,7 +141,8 @@ class CompiledCircuit:
             psi = _sv.apply_gate(psi, op.gate, op.wires, n, theta)
         return psi
 
-    def _evolve_prefix(self, batch, inputs, weights):
+    def evolve_prefix(self, batch, inputs, weights=None):
+        """States after the input prefix, ``(batch, dim)``, before the suffix."""
         n = self.circuit.n_qubits
         if _program.program_enabled():
             prog = self._half_program(self._prefix_programs, self._prefix)
@@ -174,7 +177,7 @@ class CompiledCircuit:
                         f"{n_sets} weight rows for batch {batch}"
                     )
                 prefix_weights = np.tile(weights_arr, (batch // n_sets, 1))
-        psi = self._evolve_prefix(batch, inputs_arr, prefix_weights)
+        psi = self.evolve_prefix(batch, inputs_arr, prefix_weights)
 
         unitary = self.suffix_unitary(weights_arr)
         xp = _backend.array_namespace(psi)
@@ -218,7 +221,7 @@ class CompiledCircuit:
             raise ValueError(
                 f"rows must have shape ({batch},), got {rows.shape}"
             )
-        psi = self._evolve_prefix(batch, inputs_arr, weights_arr[rows])
+        psi = self.evolve_prefix(batch, inputs_arr, weights_arr[rows])
         unitary = self.suffix_unitary(weights_arr)
         xp = _backend.array_namespace(psi)
         return xp.einsum("bij,bj->bi", unitary[xp.asarray(rows)], psi)
@@ -241,3 +244,25 @@ class CompiledCircuit:
             f"CompiledCircuit(n_qubits={self.circuit.n_qubits}, "
             f"prefix={self.split} ops, compiled={self.n_compiled_operations} ops)"
         )
+
+
+_COMPILED_CACHE = {}
+
+
+def compiled_circuit(circuit, array_backend=None):
+    """The shared :class:`CompiledCircuit` of ``circuit`` on one array backend.
+
+    Rollouts, the stacked update forwards and the grouped adjoint all look a
+    circuit up here, so the suffix unitaries one of them builds for a set of
+    weights are a cache hit for the others.  Cached per (circuit identity,
+    array backend) like :func:`repro.quantum.program.compile_program`; the
+    shared instance has no default observables.  It sees the circuit through
+    a weak proxy, so the cache never keeps a circuit (or its programs and
+    unitaries) alive: the entry goes when the circuit does.
+    """
+    xp = _backend.get_array_backend(array_backend)
+    return _program.cached_for_circuit(
+        _COMPILED_CACHE, circuit, xp,
+        lambda: CompiledCircuit(weakref.proxy(circuit), array_backend=xp),
+        "compiled",
+    )

@@ -25,6 +25,13 @@ the map ``(inputs, weights) -> expectations``.  With *per-sample* weights
 ``(B, n_weights)`` (ensemble evaluation: each batch row runs its own weight
 vector through the shared circuit structure) the weight gradient is returned
 per-sample as ``(B, n_weights)`` instead of summed over the batch.
+
+The adjoint also has a grouped form, ``backward(..., rows=rows)``
+(:func:`grouped_adjoint_backward`): ``(G, n_weights)`` weights, row ``b``
+running ``weights[rows[b]]``, and per-group weight gradients.  Its reverse
+sweep runs in operator space on a fixed ``G * n_paulis * 2**n`` rows, so
+its cost does not grow with the batch; the stacked actor and critic updates
+use it, with the per-row sweep as its test oracle.
 """
 
 from __future__ import annotations
@@ -32,14 +39,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.quantum import backend as _backend
-from repro.quantum import gates as _gates
+from repro.quantum import compile as _compile
 from repro.quantum import program as _program
 from repro.quantum import statevector as _sv
-from repro.quantum.backends import StatevectorBackend
+from repro.quantum.backends import StatevectorBackend, _normalise_run_args
 from repro.quantum.observables import Hamiltonian, PauliString
 
 __all__ = [
     "adjoint_backward",
+    "grouped_adjoint_backward",
     "parameter_shift_backward",
     "finite_difference_backward",
     "backward",
@@ -221,6 +229,129 @@ def adjoint_backward(circuit, observables, inputs, weights, upstream, array_back
     return input_grads, weight_grads
 
 
+def grouped_adjoint_backward(
+    circuit, observables, inputs, weights, upstream, rows, array_backend=None
+):
+    """Per-group weight gradient through the operator-space adjoint.
+
+    Row ``b`` runs with weight row ``weights[rows[b]]`` (the contract of
+    :meth:`~repro.quantum.compile.CompiledCircuit.run_rows`) and the weight
+    gradient is summed per weight row.  Inputs are not differentiated.
+
+    Inputs enter only the prefix before
+    :func:`~repro.quantum.compile.split_index`.  When that prefix holds no
+    weight, the loss is ``sum_{g,k} Tr(P_k U_g rho_{g,k} U_g^dag)``, with
+    ``U_g`` the suffix unitary of group ``g`` and
+    ``rho_{g,k} = sum_{b in g} c_bk |psi_b><psi_b|`` over the prefix states
+    and the upstream-weighted Pauli coefficients.  The reverse sweep over the
+    suffix then runs on the bra rows ``P_k U_g e_j`` and the ket rows
+    ``U_g rho_{g,k} e_j``: ``G * n_paulis * 2**n`` rows whatever the batch.
+    A prefix holding weights falls back to the per-row sweep, summed per
+    group.
+
+    Args:
+        weights: ``(G, n_weights)`` weight rows.
+        rows: ``(B,)`` weight row of each batch row.
+        Other arguments as in :func:`adjoint_backward`.
+
+    Returns:
+        ``(None, weight_grads)`` with ``weight_grads`` of shape
+        ``(G, n_weights)``; groups without rows get zeros.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2:
+        raise ValueError(
+            f"grouped adjoint needs (G, n_weights) weights, got shape "
+            f"{weights.shape}"
+        )
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.ndim == 1:
+        upstream = upstream[None, :]
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.shape != (upstream.shape[0],):
+        raise ValueError(
+            f"rows must have shape ({upstream.shape[0]},), got {rows.shape}"
+        )
+    if rows.size and (rows.min() < 0 or rows.max() >= weights.shape[0]):
+        raise ValueError(f"rows must index {weights.shape[0]} weight rows")
+    weight_grads = np.zeros_like(weights)
+    compiled = _compile.compiled_circuit(circuit, array_backend)
+    ops = circuit.operations
+    if any(op.is_trainable for op in ops[: compiled.split]):
+        _, per_row = adjoint_backward(
+            circuit, observables, inputs, weights[rows], upstream,
+            array_backend=array_backend,
+        )
+        np.add.at(weight_grads, rows, per_row)
+        return None, weight_grads
+
+    inputs, batch = _normalise_run_args(circuit, inputs, rows.shape[0])
+    if batch != rows.shape[0]:
+        raise ValueError(f"{batch} input rows for {rows.shape[0]} rows")
+    # Group-contiguous row order: each group's states are one slice.
+    order = np.argsort(rows, kind="stable")
+    groups, starts = np.unique(rows[order], return_index=True)
+    bounds = np.append(starts, batch)
+    paulis, coefficients = _flatten_observables(observables, upstream)
+    psi = compiled.evolve_prefix(
+        batch, None if inputs is None else inputs[order]
+    )
+    xp = _backend.array_namespace(psi)
+    coefficients = xp.asarray(coefficients[order])
+    n = circuit.n_qubits
+    # basis[g, j] = U_g e_j: the suffix evolution of basis state j.
+    basis = xp.swapaxes(compiled.suffix_unitary(weights), 1, 2)
+    bras, kets = [], []
+    dim = psi.shape[1]
+    for g, start, stop in zip(groups, bounds[:-1], bounds[1:]):
+        x = psi[start:stop]
+        weighted = coefficients[start:stop, :, None] * xp.conj(x)[:, None, :]
+        # rho_conj[k] = conj(rho_{g,k}), and row j of conj(rho_{g,k}) @
+        # basis[g] is U_g rho_{g,k} e_j (rho is Hermitian).  The products
+        # stay (dim x dim) per Pauli: OpenBLAS threads larger shapes, and a
+        # threaded call can stall for a scheduler tick on a 2-CPU host.
+        rho_conj = xp.matmul(xp.transpose(weighted, (1, 2, 0)), x)
+        kets.append(xp.matmul(rho_conj, basis[g]).reshape(-1, dim))
+        bras.extend(pauli.apply(basis[g], n) for pauli in paulis)
+    n_groups = len(groups)
+    per_group = len(paulis) * dim
+    n_rows = n_groups * per_group
+    stacked = xp.concatenate(bras + kets, axis=0)
+
+    if _program.program_enabled():
+        prog = _program.compile_program(circuit, xp)
+        inverse, generator = prog.apply_inverse, prog.apply_generator
+    else:
+        def generator(i, psi):
+            return _sv.apply_matrix(psi, ops[i].spec.generator, ops[i].wires, n)
+
+        def inverse(i, psi, theta):
+            matrix = _inverse_matrix(ops[i], theta)
+            return _sv.apply_matrix(psi, matrix, ops[i].wires, n)
+
+    active = weights[groups]
+    grads = xp.zeros((n_groups, circuit.n_weights))
+    for i in range(len(ops) - 1, compiled.split - 1, -1):
+        op = ops[i]
+        if op.is_trainable:
+            # Tr(M G sigma) summed over the group's bra/ket row pairs.
+            g_ket = generator(i, stacked[n_rows:])
+            overlap = xp.sum(
+                (xp.conj(stacked[:n_rows]) * g_ket).reshape(n_groups, -1),
+                axis=1,
+            )
+            grads[:, op.param.index] += xp.imag(overlap) * op.param.scale
+        theta = circuit.resolve_angle(op, None, active)
+        if theta is not None and np.ndim(theta) == 1:
+            theta = (
+                float(theta[0]) if n_groups == 1
+                else np.tile(np.repeat(theta, per_group), 2)
+            )
+        stacked = inverse(i, stacked, theta)
+    weight_grads[groups] = xp.to_host(grads)
+    return None, weight_grads
+
+
 class _ShiftExecutor:
     """Minimal state-stepping adapter over the two backends.
 
@@ -360,8 +491,17 @@ def backward(
     upstream,
     method="adjoint",
     backend=None,
+    rows=None,
 ):
-    """Dispatch to one of the gradient methods by name."""
+    """Dispatch to one of the gradient methods by name.
+
+    With ``rows`` (adjoint only) ``weights`` is a ``(G, n_weights)`` matrix,
+    row ``b`` uses ``weights[rows[b]]`` and the call returns
+    ``(None, (G, n_weights))`` per-group weight gradients — see
+    :func:`grouped_adjoint_backward`.
+    """
+    if rows is not None and method != "adjoint":
+        raise ValueError(f"rows= needs method='adjoint', got {method!r}")
     if method == "adjoint":
         if backend is not None and not getattr(backend, "supports_adjoint", False):
             raise ValueError(
@@ -370,6 +510,16 @@ def backward(
             )
         if backend is not None and backend.shots is not None:
             raise ValueError("adjoint differentiation requires exact expectations")
+        if rows is not None:
+            return grouped_adjoint_backward(
+                circuit,
+                observables,
+                inputs,
+                weights,
+                upstream,
+                rows,
+                array_backend=getattr(backend, "array_backend", None),
+            )
         return adjoint_backward(
             circuit,
             observables,

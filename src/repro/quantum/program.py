@@ -67,6 +67,7 @@ from repro.quantum import statevector as _sv
 
 __all__ = [
     "CircuitProgram",
+    "cached_for_circuit",
     "compile_program",
     "program_enabled",
     "set_program_enabled",
@@ -1080,35 +1081,48 @@ _PROGRAM_CACHE = {}
 _CACHE_FALLBACK_LIMIT = 512
 
 
-def compile_program(circuit, array_backend=None):
-    """Compile (and cache) the program for a symbolic circuit.
+def cached_for_circuit(cache, circuit, xp, build, counter):
+    """``build()`` once per (circuit identity, array backend), kept in ``cache``.
 
-    The cache is keyed on (circuit identity, array backend) and validated
-    against the operation list, so appending to a circuit after running it
-    triggers a clean recompile instead of stale kernels, and each backend
-    gets its own device-materialised program.  Entries are evicted when the
-    circuit is garbage collected.
+    Entries are validated against the circuit's operation list, so appending
+    to a circuit after running it triggers a clean rebuild instead of stale
+    kernels, and are evicted when the circuit is garbage collected.
+    ``counter`` prefixes the ``.cache_hit`` / ``.compile`` telemetry.
     """
-    xp = _backend.get_array_backend(array_backend)
     key = (id(circuit), id(xp))
-    entry = _PROGRAM_CACHE.get(key)
+    entry = cache.get(key)
     if entry is not None:
-        snapshot, program, _ref = entry
+        snapshot, value, _ref = entry
         ops = circuit.operations
         if len(snapshot) == len(ops) and all(
             a is b for a, b in zip(snapshot, ops)
         ):
             if obs.enabled():
-                obs.counter("program.cache_hit").inc()
-            return program
+                obs.counter(f"{counter}.cache_hit").inc()
+            return value
     if obs.enabled():
-        obs.counter("program.compile").inc()
-    program = CircuitProgram(circuit.n_qubits, circuit.operations, xp)
+        obs.counter(f"{counter}.compile").inc()
+    value = build()
     try:
-        ref = weakref.ref(circuit, lambda _r, _k=key: _PROGRAM_CACHE.pop(_k, None))
+        ref = weakref.ref(circuit, lambda _r, _k=key: cache.pop(_k, None))
     except TypeError:
         ref = None
-        if len(_PROGRAM_CACHE) >= _CACHE_FALLBACK_LIMIT:
-            _PROGRAM_CACHE.clear()
-    _PROGRAM_CACHE[key] = (tuple(circuit.operations), program, ref)
-    return program
+        if len(cache) >= _CACHE_FALLBACK_LIMIT:
+            cache.clear()
+    cache[key] = (tuple(circuit.operations), value, ref)
+    return value
+
+
+def compile_program(circuit, array_backend=None):
+    """Compile (and cache) the program for a symbolic circuit.
+
+    Cached per (circuit identity, array backend) by
+    :func:`cached_for_circuit`, so each backend gets its own
+    device-materialised program.
+    """
+    xp = _backend.get_array_backend(array_backend)
+    return cached_for_circuit(
+        _PROGRAM_CACHE, circuit, xp,
+        lambda: CircuitProgram(circuit.n_qubits, circuit.operations, xp),
+        "program",
+    )

@@ -23,7 +23,7 @@ from repro.quantum import backend as qback
 from repro.quantum import program as qprog
 from repro.quantum import statevector as sv
 from repro.quantum.backends import StatevectorBackend
-from repro.quantum.gradients import adjoint_backward
+from repro.quantum.gradients import adjoint_backward, grouped_adjoint_backward
 from repro.quantum.vqc import build_vqc
 
 
@@ -175,6 +175,26 @@ class TestProgramResidency:
         # One download per returned gradient buffer, nothing mid-sweep.
         assert mock.counts["d2h"] == 2
         assert np.array_equal(gi, gi_ref)
+        assert np.array_equal(gw, gw_ref)
+
+    def test_grouped_adjoint_downloads_once(self, rng, mock):
+        """The operator-space sweep stays on the device: prefix states, the
+        density columns and every gate inversion; only the (G, n_weights)
+        gradient crosses back."""
+        vqc, inputs, _ = _problem(rng, batch=9)
+        weights = rng.uniform(-np.pi, np.pi, size=(3, vqc.n_weights))
+        upstream = rng.normal(size=(inputs.shape[0], vqc.n_outputs))
+        rows = np.arange(inputs.shape[0]) % 3
+        _, gw_ref = grouped_adjoint_backward(
+            vqc.circuit, vqc.observables, inputs, weights, upstream, rows
+        )
+        mock.reset_counts()
+        gi, gw = grouped_adjoint_backward(
+            vqc.circuit, vqc.observables, inputs, weights, upstream, rows,
+            array_backend=mock,
+        )
+        assert gi is None and type(gw) is np.ndarray
+        assert mock.counts["d2h"] == 1
         assert np.array_equal(gw, gw_ref)
 
     def test_sample_bitstrings_converts_explicitly(self, rng, mock):

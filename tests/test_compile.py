@@ -1,12 +1,15 @@
 """Unit tests for circuit compilation (cached variational unitaries)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.marl.actors import QuantumActor, QuantumActorGroup
 from repro.quantum.backends import StatevectorBackend
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
-from repro.quantum.compile import CompiledCircuit, split_index
+from repro.quantum.compile import CompiledCircuit, compiled_circuit, split_index
 from repro.quantum.vqc import build_vqc
 
 
@@ -173,3 +176,39 @@ class TestActorGroupIntegration:
         )
         assert not np.allclose(before, after)
         assert np.allclose(after, individual, atol=1e-12)
+
+
+class TestSharedCompiledCircuit:
+    """``compiled_circuit``: one instance per (circuit, array backend)."""
+
+    def test_one_instance_per_circuit_and_backend(self):
+        vqc = build_vqc(4, 4, 20, seed=7)
+        shared = compiled_circuit(vqc.circuit)
+        assert compiled_circuit(vqc.circuit) is shared
+        assert compiled_circuit(vqc.circuit, "mock") is not shared
+        assert compiled_circuit(build_vqc(4, 4, 20, seed=7).circuit) is not shared
+
+    def test_group_rollout_and_update_share_it(self, rng):
+        vqc = build_vqc(4, 4, 20, seed=7)
+        group = QuantumActorGroup(
+            [QuantumActor(vqc, np.random.default_rng(i)) for i in range(2)]
+        )
+        assert group._compiled is compiled_circuit(vqc.circuit)
+
+    def test_appending_an_operation_rebuilds(self, rng):
+        vqc = build_vqc(2, 2, 4, seed=1)
+        stale = compiled_circuit(vqc.circuit)
+        vqc.circuit.add("rx", (0,), ParameterRef.input(0))
+        fresh = compiled_circuit(vqc.circuit)
+        assert fresh is not stale
+        assert fresh.n_compiled_operations == 0
+
+    def test_does_not_keep_the_circuit_alive(self, rng):
+        vqc = build_vqc(2, 2, 4, seed=1)
+        compiled_circuit(vqc.circuit).run(
+            rng.uniform(size=(3, 2)), vqc.initial_weights(rng), vqc.observables
+        )
+        circuit = weakref.ref(vqc.circuit)
+        del vqc
+        gc.collect()
+        assert circuit() is None

@@ -21,6 +21,7 @@ from repro.quantum.gradients import (
     parameter_shift_backward,
 )
 from repro.quantum.observables import Hamiltonian, PauliString, all_z_observables
+from repro.quantum.program import using_program
 from repro.quantum.vqc import build_vqc
 
 
@@ -136,6 +137,131 @@ class TestMethodAgreement:
         )
         assert gi.shape == (1, vqc.n_features)
         assert gw.shape == (vqc.n_weights,)
+
+
+def _summed_per_group(method, circuit, observables, inputs, weights, upstream,
+                      rows):
+    """The per-row oracle: per-sample weights ``weights[rows]``, summed."""
+    _, per_row = method(circuit, observables, inputs, weights[rows], upstream)
+    summed = np.zeros_like(weights)
+    np.add.at(summed, rows, per_row)
+    return summed
+
+
+def _grouped_problem(rng, n_groups, batch, observables=None):
+    vqc = build_vqc(3, 6, 14, seed=4)
+    observables = vqc.observables if observables is None else observables
+    inputs = rng.uniform(0.0, 1.0, size=(batch, 6))
+    weights = np.stack([vqc.initial_weights(rng) for _ in range(n_groups)])
+    upstream = rng.normal(size=(batch, len(observables)))
+    rows = rng.integers(0, n_groups, size=batch)
+    return vqc.circuit, observables, inputs, weights, upstream, rows
+
+
+def _mixed_observables():
+    return [
+        Hamiltonian([0.5, -1.5], [PauliString.z(0), PauliString({1: "X"})]),
+        PauliString({0: "Y", 2: "Z"}),
+    ]
+
+
+@pytest.mark.usefixtures("array_backend")
+class TestGroupedAdjoint:
+    """``backward(..., rows=)``: the operator-space adjoint over G weight
+    rows, against the per-row adjoint summed per group (the oracle) and
+    against the parameter-shift rule."""
+
+    @pytest.mark.parametrize("program", [True, False])
+    @pytest.mark.parametrize("n_groups", [1, 4])
+    @pytest.mark.parametrize("batch", [3, 200])  # B < dim = 8 and B >> dim
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_per_row_oracle(self, rng, program, n_groups, batch,
+                                    mixed):
+        observables = _mixed_observables() if mixed else None
+        circuit, observables, inputs, weights, upstream, rows = (
+            _grouped_problem(rng, n_groups, batch, observables)
+        )
+        with using_program(program):
+            gi, gw = backward(
+                circuit, observables, inputs, weights, upstream, rows=rows
+            )
+            oracle = _summed_per_group(
+                adjoint_backward, circuit, observables, inputs, weights,
+                upstream, rows,
+            )
+        assert gi is None
+        assert gw.shape == weights.shape
+        assert np.max(np.abs(gw - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_parameter_shift(self, rng, mixed):
+        observables = _mixed_observables() if mixed else None
+        circuit, observables, inputs, weights, upstream, rows = (
+            _grouped_problem(rng, 4, 12, observables)
+        )
+        _, gw = backward(
+            circuit, observables, inputs, weights, upstream, rows=rows
+        )
+        shift = _summed_per_group(
+            parameter_shift_backward, circuit, observables, inputs, weights,
+            upstream, rows,
+        )
+        assert np.max(np.abs(gw - shift)) <= 1e-8
+
+    def test_group_without_rows_gets_zero_gradient(self, rng):
+        circuit, observables, inputs, weights, upstream, _ = (
+            _grouped_problem(rng, 3, 10)
+        )
+        rows = np.array([0, 2] * 5)
+        _, gw = backward(
+            circuit, observables, inputs, weights, upstream, rows=rows
+        )
+        oracle = _summed_per_group(
+            adjoint_backward, circuit, observables, inputs, weights,
+            upstream, rows,
+        )
+        assert np.array_equal(gw[1], np.zeros(weights.shape[1]))
+        assert np.max(np.abs(gw - oracle)) <= 1e-12
+
+    def test_weights_in_the_input_prefix_fall_back_to_per_row(self, rng):
+        """A weight before the last input gate cannot go through the
+        prefix states; the per-row sweep answers instead."""
+        circuit = QuantumCircuit(2)
+        circuit.add("ry", (0,), ParameterRef.weight(0))
+        circuit.add("rx", (0,), ParameterRef.input(0))
+        circuit.add("cnot", (0, 1))
+        circuit.add("rx", (1,), ParameterRef.input(1))
+        circuit.add("ry", (1,), ParameterRef.weight(1))
+        observables = all_z_observables(2)
+        inputs = rng.uniform(size=(5, 2))
+        weights = rng.uniform(size=(2, 2))
+        upstream = rng.normal(size=(5, 2))
+        rows = np.array([0, 1, 1, 0, 1])
+        _, gw = backward(
+            circuit, observables, inputs, weights, upstream, rows=rows
+        )
+        shift = _summed_per_group(
+            parameter_shift_backward, circuit, observables, inputs, weights,
+            upstream, rows,
+        )
+        assert np.max(np.abs(gw - shift)) <= 1e-8
+
+    def test_rejects_bad_arguments(self, rng):
+        circuit, observables, inputs, weights, upstream, rows = (
+            _grouped_problem(rng, 2, 4)
+        )
+        with pytest.raises(ValueError, match=r"\(G, n_weights\)"):
+            backward(circuit, observables, inputs, weights[0], upstream,
+                     rows=rows)
+        with pytest.raises(ValueError, match="rows must have shape"):
+            backward(circuit, observables, inputs, weights, upstream,
+                     rows=rows[:3])
+        with pytest.raises(ValueError, match="index 2 weight rows"):
+            backward(circuit, observables, inputs, weights, upstream,
+                     rows=np.array([0, 1, 2, 0]))
+        with pytest.raises(ValueError, match="needs method='adjoint'"):
+            backward(circuit, observables, inputs, weights, upstream,
+                     method="parameter_shift", rows=rows)
 
 
 class TestNoisyGradients:

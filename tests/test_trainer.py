@@ -1,5 +1,7 @@
 """Unit tests for the CTDE trainer (Algorithm 1)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.marl.actors import ActorGroup, ClassicalActor, RandomActor
 from repro.marl.frameworks import build_framework
 from repro.marl.critics import ClassicalCentralCritic
 from repro.marl.trainer import CTDETrainer, rollout_episode
+from repro.obs import flight
 
 
 def tiny_setup(seed=0, episode_limit=6, initial_queue_level=0.5,
@@ -116,6 +119,43 @@ class TestTrainerMechanics:
         assert np.allclose(
             trainer.critic.values(states), trainer.target_critic.values(states)
         )
+
+    @pytest.mark.parametrize("arm", ["classical", "proposed"])
+    def test_nonfinite_update_refused_with_weights_untouched(
+        self, tmp_path, arm
+    ):
+        """A NaN reward makes the loss and gradients NaN; clipping cannot
+        catch a NaN norm, so the update itself must refuse to step."""
+        if arm == "classical":
+            trainer = tiny_setup()
+        else:
+            trainer = build_framework(
+                "proposed", seed=3,
+                env_config=SingleHopConfig(episode_limit=4),
+                train_config=TrainingConfig(episodes_per_epoch=1),
+            ).trainer
+        episodes, _ = trainer.collect_episodes(1)
+        trainer.buffer.add_episodes(episodes)
+        batch = trainer.buffer.batch()
+        batch.rewards[0] = np.nan
+        params = (
+            list(trainer.critic.parameters())
+            + list(trainer.actors.parameters())
+        )
+        before = [p.data.copy() for p in params]
+        prior_dir = flight.set_dump_dir(str(tmp_path))
+        prior_enabled = flight.set_enabled(True)
+        try:
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                trainer.update(batch)
+        finally:
+            flight.set_enabled(prior_enabled)
+            flight.set_dump_dir(prior_dir)
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, params))
+        (dump,) = tmp_path.glob("flight-nonfinite_update-*.json")
+        document = json.loads(dump.read_text())
+        assert document["reason"] == "nonfinite_update"
+        assert np.isnan(document["extra"]["critic_loss"])
 
     def test_history_records(self):
         trainer = tiny_setup()
