@@ -59,8 +59,8 @@ class Episode:
         """Freeze the episode into stacked arrays; returns ``self``.
 
         The per-step staging lists are dropped afterwards so a finished
-        episode carries (and pickles, for the process-sharded pipe
-        transport) only the stacked arrays.
+        episode carries (and pickles, for the process-sharded rollout's
+        worker pipes) only the stacked arrays.
         """
         if self._finished:
             return self
@@ -78,45 +78,6 @@ class Episode:
         self._rewards = self._next_states = self._next_observations = None
         self._dones = None
         return self
-
-    @classmethod
-    def from_arrays(cls, states, observations, actions, rewards, next_states,
-                    next_observations, dones):
-        """Rebuild a finished episode directly from its stacked columns.
-
-        Used by the shared-memory transport to assemble episodes from ring
-        payload views without replaying per-step ``add`` calls; the caller
-        owns the arrays (copy views before the backing slots are released).
-        """
-        episode = cls()
-        episode.states = np.asarray(states, dtype=np.float64)
-        episode.observations = np.asarray(observations, dtype=np.float64)
-        episode.actions = np.asarray(actions, dtype=np.int64)
-        episode.rewards = np.asarray(rewards, dtype=np.float64)
-        episode.next_states = np.asarray(next_states, dtype=np.float64)
-        episode.next_observations = np.asarray(
-            next_observations, dtype=np.float64
-        )
-        episode.dones = np.asarray(dones, dtype=bool)
-        if episode.rewards.ndim != 1:
-            raise ValueError("rewards must be one-dimensional (T,)")
-        lengths = {
-            array.shape[0] if array.ndim else -1
-            for array in (
-                episode.states, episode.observations, episode.actions,
-                episode.rewards, episode.next_states,
-                episode.next_observations, episode.dones,
-            )
-        }
-        if len(lengths) != 1 or episode.rewards.shape[0] < 1:
-            raise ValueError(
-                f"episode columns disagree on transition count: {lengths}"
-            )
-        episode._finished = True
-        episode._states = episode._observations = episode._actions = None
-        episode._rewards = episode._next_states = None
-        episode._next_observations = episode._dones = None
-        return episode
 
     @property
     def length(self):

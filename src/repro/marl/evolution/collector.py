@@ -18,15 +18,15 @@ PopulationActorGroup`, whose row-to-member mapping each worker applies to
   (:func:`~repro.marl.evolution.es.perturb_population`).
 
 Everything else — shard layout, per-row env streams, the global
-action-sampling stream replay, both transition transports, crash
-restart-and-requeue from checkpoints, the ``(round, row)`` reassembly
-order — is inherited unchanged, which is exactly why sharded ES is
-bit-identical to in-process ES for any worker count over either transport
-(pinned by the ES axis of the unified cross-engine harness).  That
-includes the ragged-env round protocol, but the ES *trainer* rejects
-ragged envs up front: its fitness attribution maps episode position to
-population member positionally, which only holds under lockstep
-completion (see :class:`~repro.marl.evolution.trainer.ESTrainer`).
+action-sampling stream replay, crash restart-and-requeue from
+checkpoints, the ``(round, row)`` reassembly order — is inherited
+unchanged, which is exactly why sharded ES is bit-identical to in-process
+ES for any worker count (pinned by the ES axis of the unified cross-engine
+harness).  That includes the ragged-env round protocol, but the ES
+*trainer* rejects ragged envs up front: its fitness attribution maps
+episode position to population member positionally, which only holds
+under lockstep completion (see
+:class:`~repro.marl.evolution.trainer.ESTrainer`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class PopulationRolloutCollector(ShardedRolloutCollector):
             (its template is mirrored into the workers at pool start).
         n_envs: Total lockstep rows ``k * P`` (``k`` copies per member).
         n_workers: Worker process count (clamped to ``n_envs``).
-        **kwargs: Transport and start-method knobs of the base class.
+        **kwargs: The base class's ``start_method`` knob.
     """
 
     def __init__(self, env, population_group, n_envs, n_workers, **kwargs):

@@ -33,7 +33,7 @@ gradient trainer's collection engines:
 - ``"vector"`` (and ``"auto"`` without workers) — in-process stacked
   single-circuit-call evaluation;
 - ``"sharded"`` (and ``"auto"`` with workers) — the population sharded
-  across worker processes over either transition transport, receiving only
+  across worker processes, receiving only
   base-plus-seeds broadcasts
   (:class:`~repro.marl.evolution.collector.PopulationRolloutCollector`).
 
@@ -192,7 +192,6 @@ class ESTrainer:
                 self._population_group,
                 n_envs=self.n_envs,
                 n_workers=self.rollout_workers,
-                transport=self.config.rollout_transport,
             )
         return self._sharded_collector
 
@@ -232,8 +231,8 @@ class ESTrainer:
         """One ES generation: collect, score, update, record metrics.
 
         Traced like the gradient engine: one ``trainer.epoch`` span roots
-        the generation's tree, and sharded workers join it over the
-        transport seam.
+        the generation's tree, and sharded workers join it over their
+        command pipes.
         """
         if obs.enabled():
             obs.begin_trace(label="trainer")

@@ -20,7 +20,10 @@ flush reason) to stderr.
 Connections are keep-alive; each request parks on the batcher until its
 micro-batch flushes, so thousands of idle connections cost only their
 coroutine.  Overload (``max_pending`` exceeded) answers 503 — shedding at
-the door keeps p99 bounded for the admitted traffic.
+the door keeps p99 bounded for the admitted traffic.  A malformed request
+(wrong observation length, a NaN or inf value, an agent id out of range)
+answers 400 before it is queued, so it can never fail — or poison with
+NaN — the requests it would have been batched with.
 
 Run standalone with ``python -m repro.serving.server --checkpoint ckpt.npz``.
 """
@@ -54,7 +57,6 @@ def make_engine(spec, config, checkpoint_path=None):
             spec,
             checkpoint_path=checkpoint_path,
             n_workers=config.workers,
-            transport=config.effective_transport,
             sample_seed=config.sample_seed,
         )
     return PolicyEngine(
@@ -97,6 +99,28 @@ def _write_response(writer, status, document, keep_alive=True):
         f"Connection: {connection}\r\n\r\n"
     )
     writer.write(head.encode("latin1") + body)
+
+
+def _admit(engine, observations, agents):
+    """Reject a malformed request before it can share a micro-batch.
+
+    One bad row in a stacked circuit call would fail every request in the
+    batch (a shape error) or answer them NaN probabilities (a non-finite
+    input), so each request is checked alone: observation length, finite
+    values, and agent ids in ``[0, engine.n_agents)``.
+    """
+    if observations.shape[1] != engine.observation_size:
+        raise ValueError(
+            f"observations must have {engine.observation_size} values each, "
+            f"got {observations.shape[1]}"
+        )
+    if not np.isfinite(observations).all():
+        raise ValueError("observations must be finite (no NaN or inf)")
+    for agent in agents:
+        if not 0 <= agent < engine.n_agents:
+            raise ValueError(
+                f"agent must be in [0, {engine.n_agents}), got {agent}"
+            )
 
 
 class PolicyServer:
@@ -153,7 +177,7 @@ class PolicyServer:
         # restored on stop() so embedding tests don't leak the enable.
         self._obs_prev = obs.set_enabled(True)
         # One trace spans the server's lifetime; every request span (and,
-        # through the transport seam, every shard-eval span) parents back
+        # through the worker pipes, every shard-eval span) parents back
         # to the ``serving.server`` root, whose event is emitted at stop()
         # once its duration is known.
         self._trace_owner = not _trace.active()
@@ -335,6 +359,7 @@ class PolicyServer:
         if observation.ndim != 1:
             raise ValueError("observation must be a flat vector")
         agent = int(payload["agent"])
+        _admit(self.engine, observation[None], [agent])
         greedy = bool(payload.get("greedy", False))
         with obs.span("serving.request") as request_span:
             actions, probs, generation = await self.batcher.submit(
@@ -365,6 +390,7 @@ class PolicyServer:
             raise ValueError(
                 "observations, agents, and greedy must agree in length"
             )
+        _admit(self.engine, observations, agents)
         with obs.span("serving.request") as request_span:
             actions, probs, generation = await self.batcher.submit(
                 observations, agents, greedy, meta=self._next_meta()
@@ -413,7 +439,7 @@ class PolicyServer:
 
         Built from the global ``repro.obs`` registry (enabled for the
         server's lifetime), so it also surfaces whatever the engine layers
-        below record — program cache hit rates, shm backpressure — next to
+        below record — program cache hit rates, shard evaluation — next to
         the serving tier's own histograms.
         """
         snap = obs.snapshot()
@@ -476,8 +502,6 @@ def main(argv=None):
     parser.add_argument("--reload-poll-ms", type=int, default=200,
                         help="checkpoint watcher poll interval (0 disables)")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--transport", default="auto",
-                        choices=("auto", "pipe", "shm"))
     parser.add_argument("--log-requests", action="store_true",
                         help="emit one structured JSON access-log line per "
                              "request to stderr (off by default)")
@@ -496,7 +520,6 @@ def main(argv=None):
         max_wait_us=args.max_wait_us,
         reload_poll_ms=args.reload_poll_ms,
         workers=args.workers,
-        transport=args.transport,
         host=args.host,
         port=args.port,
         log_requests=args.log_requests,

@@ -104,8 +104,6 @@ class TestTrainingConfig:
             {"rollout_mode": "parallel"},
             {"rollout_mode": "Vector"},
             {"rollout_mode": ""},
-            {"rollout_transport": "tcp"},
-            {"rollout_transport": "Shm"},
         ],
     )
     def test_validation(self, kwargs):
@@ -121,51 +119,11 @@ class TestTrainingConfig:
             TrainingConfig(rollout_workers=0)
         with pytest.raises(ValueError, match="rollout_mode"):
             TrainingConfig(rollout_mode="threads")
-        with pytest.raises(ValueError, match="rollout_transport"):
-            TrainingConfig(rollout_transport="ring")
 
     def test_rollout_modes_accepted(self):
         for mode in ("auto", "serial", "vector", "sharded"):
             assert TrainingConfig(rollout_mode=mode).rollout_mode == mode
         assert TrainingConfig(rollout_envs=8, rollout_workers=4).rollout_workers == 4
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            # An explicit transport with settings that can never start the
-            # sharded engine is a misconfiguration, not a no-op.
-            {"rollout_transport": "shm"},
-            {"rollout_transport": "pipe"},
-            {"rollout_transport": "shm", "rollout_mode": "serial"},
-            {"rollout_transport": "shm", "rollout_mode": "vector",
-             "rollout_envs": 8},
-            {"rollout_transport": "pipe", "rollout_mode": "vector",
-             "rollout_workers": 4},
-            # Many workers over one *effective* env copy still collapse to
-            # in-process collection (the trainer clamps W to the copies).
-            {"rollout_transport": "shm", "rollout_workers": 4},
-            {"rollout_transport": "shm", "rollout_workers": 2,
-             "rollout_envs": 4, "episodes_per_epoch": 1},
-        ],
-    )
-    def test_inert_transport_combinations_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="rollout_transport"):
-            TrainingConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rollout_transport": "shm", "rollout_mode": "sharded"},
-            {"rollout_transport": "pipe", "rollout_mode": "sharded"},
-            {"rollout_transport": "shm", "rollout_workers": 2,
-             "rollout_envs": 2},
-            {"rollout_transport": "auto"},  # inert-safe: resolves lazily
-            {"rollout_transport": "auto", "rollout_mode": "serial"},
-        ],
-    )
-    def test_effective_transport_combinations_accepted(self, kwargs):
-        config = TrainingConfig(**kwargs)
-        assert config.rollout_transport == kwargs["rollout_transport"]
 
     def test_effective_rollout_clamps(self):
         """The divisor/worker clamps are visible on the config itself."""
@@ -182,8 +140,6 @@ class TestServingConfig:
         cfg = ServingConfig()
         assert cfg.max_batch == 32
         assert cfg.workers == 1
-        assert cfg.transport == "auto"
-        assert cfg.effective_transport == "pipe"
 
     @pytest.mark.parametrize("overrides", [
         {"max_batch": 0},
@@ -191,22 +147,12 @@ class TestServingConfig:
         {"max_wait_us": -1},
         {"max_pending": -1},
         {"workers": 0},
-        {"transport": "carrier-pigeon"},
         {"reload_poll_ms": -5},
         {"port": 70000},
     ])
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ValueError):
             ServingConfig(**overrides)
-
-    def test_inert_transport_knob_rejected(self):
-        """An explicit transport with workers=1 would silently do nothing."""
-        with pytest.raises(ValueError, match="workers=1"):
-            ServingConfig(transport="shm")
-        # Meaningful with sharding, and auto resolves to pipe.
-        assert ServingConfig(workers=2, transport="shm").effective_transport \
-            == "shm"
-        assert ServingConfig(workers=2).effective_transport == "pipe"
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -258,7 +204,7 @@ class TestTrainerSelection:
         "kwargs",
         [
             # ES knobs are inert under the gradient trainer — reject, do
-            # not silently ignore (mirrors the rollout_transport policy).
+            # not silently ignore.
             {"es_population": 4},
             {"es_sigma": 0.2},
             {"es_lr": 0.1},
@@ -292,19 +238,6 @@ class TestTrainerSelection:
         )
         assert config.total_rollout_rows == 8
         assert config.effective_rollout_workers == 8
-        # An explicit transport is valid whenever the ES pool can shard.
-        config = TrainingConfig(
-            trainer="es", es_population=4, rollout_workers=2,
-            rollout_transport="shm",
-        )
-        assert config.rollout_transport == "shm"
-        # ... and still rejected when it cannot (one member, one row —
-        # the sigma=0 evaluation mode keeps the es validation quiet).
-        with pytest.raises(ValueError, match="rollout_transport"):
-            TrainingConfig(
-                trainer="es", es_population=1, es_sigma=0.0,
-                rollout_transport="shm",
-            )
 
 
 class TestBaselineShapes:

@@ -3,10 +3,9 @@
 Covers the ES math against closed forms, the population-to-row multiplexing
 (stacked per-sample-weight path vs the per-member reference loop), the
 single-circuit-call-per-step contract, the ``population=1, sigma=0``
-unperturbed-evaluation mode, the four-way cross-engine bit-identity chain
-(per-member loop / stacked / sharded-pipe / sharded-shm) on both
-environment families including crash-restart mid-generation, and a learning
-smoke run.
+unperturbed-evaluation mode, the cross-engine bit-identity chain
+(per-member loop / stacked / sharded) on both environment families
+including crash-restart mid-generation, and a learning smoke run.
 """
 
 import numpy as np
@@ -318,14 +317,14 @@ class TestEvaluationMode:
 
 class TestESCrossEngineEquivalence:
     @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS)
-    def test_four_way_chain(self, env_kind):
-        """serial-loop == stacked == sharded-pipe == sharded-shm, on both
-        environment families, including RNG stream positions."""
+    def test_full_chain(self, env_kind):
+        """serial-loop == stacked == sharded, on both environment families,
+        including RNG stream positions."""
         assert_es_cross_engine_equivalence(env_kind, ES_ENGINES)
 
     def test_odd_population_and_worker_count(self):
         assert_es_cross_engine_equivalence(
-            "single_hop", ("stacked", "sharded-pipe"),
+            "single_hop", ("stacked", "sharded"),
             population=5, n_workers=3,
         )
 
@@ -338,10 +337,9 @@ class TestESCrossEngineEquivalence:
         """The stacked weight math against the per-member oracle on a real
         quantum team, in-process and sharded."""
 
-        def run(mode, workers=1, transport="auto"):
+        def run(mode, workers=1):
             trainer = quantum_es_trainer(
                 rollout_mode=mode, rollout_workers=workers,
-                rollout_transport=transport,
             )
             try:
                 records = [trainer.train_epoch() for _ in range(2)]
@@ -354,7 +352,7 @@ class TestESCrossEngineEquivalence:
                 trainer.close()
 
         reference = run("serial")
-        for args in (("vector",), ("sharded", 2, "pipe")):
+        for args in (("vector",), ("sharded", 2)):
             other = run(*args)
             assert reference[0] == other[0]
             assert np.array_equal(reference[1], other[1])
@@ -362,16 +360,15 @@ class TestESCrossEngineEquivalence:
 
 
 class TestESCrashRecovery:
-    @pytest.mark.parametrize("transport", ("pipe", "shm"))
-    def test_worker_crash_mid_generation_is_bit_identical(self, transport):
+    def test_worker_crash_mid_generation_is_bit_identical(self):
         """Killing a worker mid-generation (command received, then death)
         restarts it from its checkpoint and replays the generation
         broadcast — the run stays bit-identical to an undisturbed one."""
         reference = run_es_generations(
-            "single_hop", f"sharded-{transport}", n_generations=3
+            "single_hop", "sharded", n_generations=3
         )
 
-        trainer = make_es_trainer("single_hop", f"sharded-{transport}")
+        trainer = make_es_trainer("single_hop", "sharded")
         try:
             records = [trainer.train_epoch()]
             collector = trainer.sharded_collector()
@@ -382,7 +379,7 @@ class TestESCrashRecovery:
             from helpers import ESEngineRun
 
             crashed = ESEngineRun(
-                engine=f"sharded-{transport}-crashed",
+                engine="sharded-crashed",
                 records=records,
                 base_vector=trainer.base_vector.copy(),
                 action_rng_state=trainer.rng.bit_generator.state,
@@ -394,9 +391,9 @@ class TestESCrashRecovery:
 
     def test_worker_killed_between_generations(self):
         reference = run_es_generations(
-            "single_hop", "sharded-pipe", n_generations=2
+            "single_hop", "sharded", n_generations=2
         )
-        trainer = make_es_trainer("single_hop", "sharded-pipe")
+        trainer = make_es_trainer("single_hop", "sharded")
         try:
             records = [trainer.train_epoch()]
             trainer.sharded_collector().debug_crash_worker(0)
@@ -454,7 +451,7 @@ class TestESTrainer:
         trainer.close()
 
     def test_evaluate_and_close_idempotent(self):
-        trainer = make_es_trainer("single_hop", "sharded-pipe")
+        trainer = make_es_trainer("single_hop", "sharded")
         trainer.train_epoch()
         stats = trainer.evaluate(n_episodes=2)
         assert set(stats) == {
@@ -475,7 +472,7 @@ class TestESTrainer:
                 env, trainer.actors, n_envs=4, n_workers=1
             )
         collector = PopulationRolloutCollector(
-            env, group, n_envs=4, n_workers=2, transport="pipe"
+            env, group, n_envs=4, n_workers=2
         )
         with pytest.raises(RuntimeError, match="set_generation"):
             collector.collect(4, np.random.default_rng(0))

@@ -254,10 +254,9 @@ class TestSnapshotMerge:
         assert snap["counters"]["rollout.env_steps"] == 33
         assert snap["histograms"]["wait"]["count"] == 3
 
-    @pytest.mark.parametrize("engine", ["sharded-pipe", "sharded-shm"])
-    def test_sharded_collect_merges_worker_telemetry(self, engine):
+    def test_sharded_collect_merges_worker_telemetry(self):
         obs.set_enabled(True)
-        trainer = make_engine_trainer("single_hop", engine, n_envs=2,
+        trainer = make_engine_trainer("single_hop", "sharded", n_envs=2,
                                       n_workers=2)
         try:
             trainer.train_epoch()
@@ -291,7 +290,7 @@ class TestSnapshotMerge:
                 for name in ("rollout.env_rows", "rollout.episodes")
             }
 
-        assert epoch_counts("vector") == epoch_counts("sharded-pipe")
+        assert epoch_counts("vector") == epoch_counts("sharded")
 
 
 # -- trainer integration ------------------------------------------------------

@@ -215,7 +215,7 @@ class TestVectorizedCollection:
 
     The serial-vs-batched comparison loops live in the cross-engine
     equivalence harness (``tests.helpers``), shared with the sharded
-    engine's suite — one pinned contract, four engines.
+    engine's suite — one pinned contract, three engines.
     """
 
     @pytest.mark.parametrize("initial_queue_level", [0.5, "uniform"])
